@@ -411,8 +411,39 @@ let micro ?(quota = 0.5) ?(size = 1000) () =
   let manager = Lineage.Bdd.manager () in
   let bdd = Lineage.Bdd.of_formula manager formula in
   let levels = Array.map (fun b -> b.Problem.p0) (Problem.bases p) in
+  (* a browse-sized answer: 500 joined rows, each "(k, g, n)" with
+     lineage "R#k & S#g" *)
+  let answer =
+    let module V = Relational.Value in
+    let released =
+      List.init 500 (fun k ->
+          {
+            Pcqe.Engine.tuple = Relational.Tuple.of_list [ V.Int k; V.Int (k / 5); V.Int (k mod 50) ];
+            lineage = Lineage.(Formula.conj [ Formula.var (Tid.make "R" k); Formula.var (Tid.make "S" (k / 5)) ]);
+            confidence = 0.6 +. (float_of_int k /. 2000.0);
+            conf_tier = "cached";
+          })
+    in
+    {
+      Pcqe.Engine.schema = Relational.Schema.of_list [ ("R.k", V.TInt); ("R.g", V.TInt); ("R.n", V.TInt) ];
+      released;
+      withheld = 0;
+      ambiguous = 0;
+      requested = 500;
+      threshold = Some 0.6;
+      applied_policies = [];
+      proposal = None;
+      infeasible = false;
+      degraded = None;
+      profile = None;
+    }
+  in
+  let block = String.init 65536 (fun i -> Char.chr ((i * 131) land 0xff)) in
   let tests =
     [
+      Test.make ~name:"wire/body-encode"
+        (Staged.stage (fun () -> Net.Wire.frame_response (Net.Wire.Answer (Net.Wire.answer_of_response answer))));
+      Test.make ~name:"wire/crc32-64KiB" (Staged.stage (fun () -> Net.Frame.crc32 block));
       Test.make ~name:"confidence/compiled-read-once"
         (Staged.stage (fun () -> Problem.eval_result p levels 0));
       Test.make ~name:"confidence/formula-shannon"

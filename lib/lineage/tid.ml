@@ -10,7 +10,28 @@ let equal a b = a.row = b.row && String.equal a.rel b.rel
 
 let hash a = Hashtbl.hash (a.rel, a.row)
 
-let to_string a = Printf.sprintf "%s#%d" a.rel a.row
+(* Digits are taken on the non-positive side, so [min_int] needs no
+   special case; no scratch state, so concurrent callers are safe. *)
+let add_int b n =
+  let rec go m =
+    if m <= -10 then go (m / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+  in
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    go n
+  end
+  else go (-n)
+
+let add_to_buffer b a =
+  Buffer.add_string b a.rel;
+  Buffer.add_char b '#';
+  add_int b a.row
+
+let to_string a =
+  let b = Buffer.create (String.length a.rel + 8) in
+  add_to_buffer b a;
+  Buffer.contents b
 
 let of_string s =
   match String.rindex_opt s '#' with

@@ -19,6 +19,13 @@ val hash : t -> int
 val to_string : t -> string
 (** Prints as ["rel#row"], e.g. ["Proposal#2"]. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s rendering. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Appends [string_of_int n] with a digit loop (no format machinery);
+    the integer writer every [add_to_buffer] renderer shares. *)
+
 val of_string : string -> t option
 (** Parses the {!to_string} form. *)
 

@@ -100,33 +100,22 @@ let connect t =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise (Transport ("connect: " ^ Unix.error_message e)))
 
-let really_write fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let sent = ref 0 in
-  (try
-     while !sent < len do
-       let n = Unix.write fd b !sent (len - !sent) in
-       sent := !sent + n
-     done
-   with
-  | Unix.Unix_error (EINTR, _, _) -> ()
-  | Unix.Unix_error (e, _, _) -> raise (Transport ("write: " ^ Unix.error_message e)));
-  if !sent < len then raise (Transport "write: short")
-
 exception Response_timeout
 
-let recv fd buf off len =
+(* EINTR is retried, never taken for end of stream; EAGAIN is SO_RCVTIMEO
+   expiring, i.e. no response in time *)
+let rec recv fd buf off len =
   try Unix.read fd buf off len with
   | Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> raise Response_timeout
-  | Unix.Unix_error (EINTR, _, _) -> 0
+  | Unix.Unix_error (EINTR, _, _) -> recv fd buf off len
   | Unix.Unix_error (e, _, _) -> raise (Transport ("read: " ^ Unix.error_message e))
 
 (* One attempt: send the frame, wait for the single response frame. *)
 let attempt t req =
   let fd = connect t in
   let typ, payload = Wire.encode_request req in
-  really_write fd (Frame.encode ~typ payload);
+  (try Frame.write fd (Frame.encode ~typ payload)
+   with Unix.Unix_error (e, _, _) -> raise (Transport ("write: " ^ Unix.error_message e)));
   match Frame.read (recv fd) with
   | Error Frame.Closed | Error (Frame.Torn _) ->
     raise (Transport "connection severed awaiting response")

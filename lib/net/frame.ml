@@ -1,34 +1,50 @@
 let version = 1
 let header_len = 12
 let max_payload = 8 * 1024 * 1024
-let magic0 = 'P'
-let magic1 = 'Q'
+let magic = "PQ"
 
-(* Table-driven CRC-32 (IEEE), computed once at load. *)
-let crc_table =
-  let t = Array.make 256 0l in
-  for n = 0 to 255 do
-    let c = ref (Int32.of_int n) in
-    for _ = 0 to 7 do
-      c :=
-        if Int32.logand !c 1l <> 0l then
-          Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-        else Int32.shift_right_logical !c 1
-    done;
-    t.(n) <- !c
+(* CRC-32 (IEEE, reflected) by slicing-by-8 on native ints: entry
+   [256 k + n] advances byte [n] through k further zero bytes, so one
+   step folds eight input bytes with eight lookups.  Computed at load. *)
+let table =
+  let t = Array.make 2048 0 in
+  for n = 0 to 2047 do
+    if n < 256 then begin
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      t.(n) <- !c
+    end
+    else t.(n) <- (t.(n - 256) lsr 8) lxor t.(t.(n - 256) land 0xff)
   done;
   t
 
-let crc32 s =
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor crc_table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+(* CRC-32 of the [len] bytes of [b] from [off] *)
+let crc_bytes b off len =
+  let crc = ref 0xFFFFFFFF and i = ref off in
+  let stop8 = off + (len land lnot 7) in
+  while !i < stop8 do
+    let lo = !crc lxor (Int32.to_int (Bytes.get_int32_le b !i) land 0xFFFFFFFF) in
+    let hi = Int32.to_int (Bytes.get_int32_le b (!i + 4)) land 0xFFFFFFFF in
+    crc :=
+      table.(0x700 lor (lo land 0xff))
+      lxor table.(0x600 lor ((lo lsr 8) land 0xff))
+      lxor table.(0x500 lor ((lo lsr 16) land 0xff))
+      lxor table.(0x400 lor (lo lsr 24))
+      lxor table.(0x300 lor (hi land 0xff))
+      lxor table.(0x200 lor ((hi lsr 8) land 0xff))
+      lxor table.(0x100 lor ((hi lsr 16) land 0xff))
+      lxor table.(hi lsr 24);
+    i := !i + 8
+  done;
+  for j = stop8 to off + len - 1 do
+    crc := table.((!crc lxor Bytes.get_uint8 b j) land 0xff) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF
+
+(* read-only use of the string's bytes *)
+let crc32 s = Int32.of_int (crc_bytes (Bytes.unsafe_of_string s) 0 (String.length s))
 
 type error =
   | Closed
@@ -46,31 +62,31 @@ let error_to_string = function
   | Too_large n -> Printf.sprintf "frame payload too large (%d bytes)" n
   | Bad_checksum -> "payload checksum mismatch"
 
-let put_u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (v land 0xff))
-
-let get_u32 s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
-
-let encode ~typ payload =
+let encode ~typ ?(tail = "") payload =
+  let len = String.length payload + String.length tail in
   if typ < 0 || typ > 255 then invalid_arg "Frame.encode: type out of range";
-  if String.length payload > max_payload then
-    invalid_arg "Frame.encode: payload too large";
-  let b = Buffer.create (header_len + String.length payload) in
-  Buffer.add_char b magic0;
-  Buffer.add_char b magic1;
-  Buffer.add_char b (Char.chr version);
-  Buffer.add_char b (Char.chr typ);
-  put_u32 b (String.length payload);
-  put_u32 b (Int32.to_int (crc32 payload) land 0xFFFFFFFF);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  if len > max_payload then invalid_arg "Frame.encode: payload too large";
+  let b = Bytes.create (header_len + len) in
+  Bytes.blit_string magic 0 b 0 2;
+  Bytes.set_uint8 b 2 version;
+  Bytes.set_uint8 b 3 typ;
+  Bytes.set_int32_be b 4 (Int32.of_int len);
+  Bytes.blit_string payload 0 b header_len (String.length payload);
+  Bytes.blit_string tail 0 b (header_len + String.length payload) (String.length tail);
+  Bytes.set_int32_be b 8 (Int32.of_int (crc_bytes b header_len len));
+  Bytes.unsafe_to_string b
+
+(* One write(2) per step: [Unix.write_substring] may raise EINTR after
+   writing part of the frame, losing the count; [single_write] never
+   writes anything when it raises. *)
+let write fd frame =
+  let rec go off =
+    if off < String.length frame then
+      match Unix.single_write_substring fd frame off (String.length frame - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error (EINTR, _, _) -> go off
+  in
+  go 0
 
 (* Read exactly [len] bytes; Ok true on success, Ok false on immediate
    clean EOF, Error on EOF mid-way. *)
@@ -91,12 +107,10 @@ let read recv =
   | Error e -> Error e
   | Ok false -> Error Closed
   | Ok true ->
-    let hdr = Bytes.to_string hdr in
-    if hdr.[0] <> magic0 || hdr.[1] <> magic1 then Error Bad_magic
-    else if Char.code hdr.[2] <> version then Error (Bad_version (Char.code hdr.[2]))
+    if Bytes.sub_string hdr 0 2 <> magic then Error Bad_magic
+    else if Bytes.get_uint8 hdr 2 <> version then Error (Bad_version (Bytes.get_uint8 hdr 2))
     else begin
-      let len = get_u32 hdr 4 in
-      let crc = get_u32 hdr 8 in
+      let len = Int32.to_int (Bytes.get_int32_be hdr 4) land 0xFFFFFFFF in
       if len > max_payload then Error (Too_large len)
       else
         let payload = Bytes.create len in
@@ -104,10 +118,11 @@ let read recv =
         | Error e -> Error e
         | Ok false when len > 0 -> Error (Torn "payload")
         | Ok _ ->
-          let payload = Bytes.to_string payload in
-          if Int32.to_int (crc32 payload) land 0xFFFFFFFF <> crc then
+          (* [payload] is complete and never written again *)
+          let payload = Bytes.unsafe_to_string payload in
+          if not (Int32.equal (crc32 payload) (Bytes.get_int32_be hdr 8)) then
             Error Bad_checksum
-          else Ok (Char.code hdr.[3], payload)
+          else Ok (Bytes.get_uint8 hdr 3, payload)
     end
 
 let decode s =

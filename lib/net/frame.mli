@@ -27,7 +27,8 @@ val max_payload : int
     cannot make the server buffer unbounded data. *)
 
 val crc32 : string -> int32
-(** Standard CRC-32 (IEEE 802.3, polynomial 0xEDB88320). *)
+(** Standard CRC-32 (IEEE 802.3, polynomial 0xEDB88320), computed eight
+    bytes per step (slicing-by-8). *)
 
 type error =
   | Closed  (** clean EOF at a frame boundary *)
@@ -39,10 +40,16 @@ type error =
 
 val error_to_string : error -> string
 
-val encode : typ:int -> string -> string
-(** [encode ~typ payload] is the complete frame as bytes on the wire.
+val encode : typ:int -> ?tail:string -> string -> string
+(** [encode ~typ payload] is the complete frame as bytes on the wire,
+    built in one exactly sized buffer.  With [~tail] the frame's payload
+    is [payload ^ tail], without that concatenation being built.
     @raise Invalid_argument if [typ] is outside 0..255 or the payload
     exceeds {!max_payload}. *)
+
+val write : Unix.file_descr -> string -> unit
+(** [write fd frame] sends all of [frame], retrying writes interrupted
+    by a signal (EINTR).  Other errors raise [Unix.Unix_error]. *)
 
 val read :
   (bytes -> int -> int -> int) -> (int * string, error) result

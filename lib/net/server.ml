@@ -144,18 +144,6 @@ let release t =
 
 (* --- socket I/O ---------------------------------------------------- *)
 
-let really_write fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let sent = ref 0 in
-  while !sent < len do
-    let n = try Unix.write fd b !sent (len - !sent) with Unix.Unix_error (EINTR, _, _) -> 0 in
-    if n = 0 && !sent < len then
-      (* only EINTR yields 0 here; a dead peer raises EPIPE instead *)
-      ()
-    else sent := !sent + n
-  done
-
 let rec recv_blocking fd buf off len =
   try Unix.read fd buf off len with Unix.Unix_error (EINTR, _, _) -> recv_blocking fd buf off len
 
@@ -179,8 +167,7 @@ let send_response t fd resp =
   | exception Fault.Injected _ ->
     count t "net.fault.write";
     raise Severed);
-  let typ, payload = Wire.encode_response resp in
-  match really_write fd (Frame.encode ~typ payload) with
+  match Frame.write fd (Wire.frame_response resp) with
   | () -> ()
   | exception Unix.Unix_error _ -> raise Severed
 

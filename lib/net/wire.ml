@@ -40,19 +40,9 @@ let t_err = 15
 (* --- encoding primitives ------------------------------------------- *)
 
 let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-
-let put_u32 b v =
-  put_u8 b (v lsr 24);
-  put_u8 b (v lsr 16);
-  put_u8 b (v lsr 8);
-  put_u8 b v
-
-let put_i64 b (v : int64) =
-  for shift = 7 downto 0 do
-    put_u8 b (Int64.to_int (Int64.shift_right_logical v (shift * 8)) land 0xff)
-  done
-
-let put_float b f = put_i64 b (Int64.bits_of_float f)
+let put_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
+let put_i64 b v = Buffer.add_int64_be b (Int64.of_int v)
+let put_float b f = Buffer.add_int64_be b (Int64.bits_of_float f)
 
 let put_str b s =
   put_u32 b (String.length s);
@@ -80,24 +70,17 @@ let get_u8 c what =
 
 let get_u32 c what =
   need c 4 what;
-  let v =
-    (Char.code c.s.[c.pos] lsl 24)
-    lor (Char.code c.s.[c.pos + 1] lsl 16)
-    lor (Char.code c.s.[c.pos + 2] lsl 8)
-    lor Char.code c.s.[c.pos + 3]
-  in
+  let v = Int32.to_int (String.get_int32_be c.s c.pos) land 0xFFFFFFFF in
   c.pos <- c.pos + 4;
   v
 
 let get_i64 c what =
   need c 8 what;
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code c.s.[c.pos + i]))
-  done;
+  let v = String.get_int64_be c.s c.pos in
   c.pos <- c.pos + 8;
-  !v
+  v
 
+let get_int c what = Int64.to_int (get_i64 c what)
 let get_float c what = Int64.float_of_bits (get_i64 c what)
 
 let get_str c what =
@@ -124,21 +107,24 @@ let decoding s f =
 
 (* --- requests ------------------------------------------------------ *)
 
-let encode_request = function
-  | Query { user; purpose; perc; sql; deadline_ms } ->
-    let b = Buffer.create 64 in
-    put_str b user;
-    put_str b purpose;
-    put_float b perc;
-    put_str b sql;
-    put_opt (fun b f -> put_float b f) b deadline_ms;
-    (t_query, Buffer.contents b)
-  | Accept { user; token } ->
-    let b = Buffer.create 32 in
-    put_str b user;
-    put_i64 b (Int64.of_int token);
-    (t_accept, Buffer.contents b)
-  | Ping -> (t_ping, "")
+let encode_request r =
+  let b = Buffer.create 64 in
+  let typ =
+    match r with
+    | Query { user; purpose; perc; sql; deadline_ms } ->
+      put_str b user;
+      put_str b purpose;
+      put_float b perc;
+      put_str b sql;
+      put_opt put_float b deadline_ms;
+      t_query
+    | Accept { user; token } ->
+      put_str b user;
+      put_i64 b token;
+      t_accept
+    | Ping -> t_ping
+  in
+  (typ, Buffer.contents b)
 
 let decode_request ~typ payload =
   decoding payload (fun c ->
@@ -152,7 +138,7 @@ let decode_request ~typ payload =
       end
       else if typ = t_accept then begin
         let user = get_str c "user" in
-        let token = Int64.to_int (get_i64 c "token") in
+        let token = get_int c "token" in
         finish c (Accept { user; token })
       end
       else if typ = t_ping then finish c Ping
@@ -160,34 +146,44 @@ let decode_request ~typ payload =
 
 (* --- responses ----------------------------------------------------- *)
 
-let encode_response = function
-  | Answer a ->
-    let b = Buffer.create (128 + String.length a.body) in
-    put_u32 b a.released;
-    put_u32 b a.withheld;
-    put_u32 b a.requested;
-    put_opt (fun b s -> put_str b s) b a.degraded;
-    put_opt (fun b t -> put_i64 b (Int64.of_int t)) b a.proposal_token;
-    put_str b a.body;
-    (t_answer, Buffer.contents b)
-  | Accepted { applied; cost } ->
-    let b = Buffer.create 16 in
-    put_u32 b applied;
-    put_float b cost;
-    (t_accepted, Buffer.contents b)
-  | Pong -> (t_pong, "")
-  | Overloaded { retry_after_ms } ->
-    let b = Buffer.create 8 in
-    put_float b retry_after_ms;
-    (t_overloaded, Buffer.contents b)
-  | Timeout { reason } ->
-    let b = Buffer.create 32 in
-    put_str b reason;
-    (t_timeout, Buffer.contents b)
-  | Err msg ->
-    let b = Buffer.create 32 in
-    put_str b msg;
-    (t_err, Buffer.contents b)
+(* [(typ, head, tail)] with payload [head ^ tail]: an answer's body is
+   the tail, so {!frame_response} frames it without a concatenation *)
+let response_parts r =
+  let b = Buffer.create 64 in
+  let typ, tail =
+    match r with
+    | Answer a ->
+      put_u32 b a.released;
+      put_u32 b a.withheld;
+      put_u32 b a.requested;
+      put_opt put_str b a.degraded;
+      put_opt put_i64 b a.proposal_token;
+      put_u32 b (String.length a.body);
+      (t_answer, a.body)
+    | Accepted { applied; cost } ->
+      put_u32 b applied;
+      put_float b cost;
+      (t_accepted, "")
+    | Pong -> (t_pong, "")
+    | Overloaded { retry_after_ms } ->
+      put_float b retry_after_ms;
+      (t_overloaded, "")
+    | Timeout { reason } ->
+      put_str b reason;
+      (t_timeout, "")
+    | Err msg ->
+      put_str b msg;
+      (t_err, "")
+  in
+  (typ, Buffer.contents b, tail)
+
+let encode_response r =
+  let typ, head, tail = response_parts r in
+  (typ, head ^ tail)
+
+let frame_response r =
+  let typ, head, tail = response_parts r in
+  Frame.encode ~typ ~tail head
 
 let decode_response ~typ payload =
   decoding payload (fun c ->
@@ -196,9 +192,7 @@ let decode_response ~typ payload =
         let withheld = get_u32 c "withheld" in
         let requested = get_u32 c "requested" in
         let degraded = get_opt get_str c "degraded" in
-        let proposal_token =
-          get_opt (fun c w -> Int64.to_int (get_i64 c w)) c "token"
-        in
+        let proposal_token = get_opt get_int c "token" in
         let body = get_str c "body" in
         finish c
           (Answer { released; withheld; requested; degraded; proposal_token; body })
@@ -219,14 +213,24 @@ let decode_response ~typ payload =
 (* --- engine response body ------------------------------------------ *)
 
 let body_of_response (r : Pcqe.Engine.response) =
-  let b = Buffer.create 256 in
+  let b = Buffer.create (256 + (64 * List.length r.released)) in
+  (* rendered fields go through a per-call scratch buffer to learn their
+     length prefix; never a shared one, since connection threads encode
+     concurrently *)
+  let field = Buffer.create 256 in
+  let put_rendered add x =
+    Buffer.clear field;
+    add field x;
+    put_u32 b (Buffer.length field);
+    Buffer.add_buffer b field
+  in
   put_str b (Relational.Schema.to_string r.schema);
-  put_opt (fun b f -> put_float b f) b r.threshold;
+  put_opt put_float b r.threshold;
   put_u32 b (List.length r.released);
   List.iter
     (fun (rel : Pcqe.Engine.released) ->
-      put_str b (Relational.Tuple.to_string rel.tuple);
-      put_str b (Lineage.Formula.to_string rel.lineage);
+      put_rendered Relational.Tuple.add_to_buffer rel.tuple;
+      put_rendered Lineage.Formula.add_to_buffer rel.lineage;
       put_float b rel.confidence;
       put_str b rel.conf_tier)
     r.released;
@@ -236,7 +240,7 @@ let body_of_response (r : Pcqe.Engine.response) =
   put_u32 b (List.length r.applied_policies);
   List.iter (fun p -> put_str b (Rbac.Policy.to_string p)) r.applied_policies;
   put_u8 b (if r.infeasible then 1 else 0);
-  put_opt (fun b s -> put_str b s) b r.degraded;
+  put_opt put_str b r.degraded;
   (* elapsed_s and solver stats are wall-time telemetry and excluded:
      the same logical answer must always encode to the same bytes *)
   put_opt
@@ -250,7 +254,7 @@ let body_of_response (r : Pcqe.Engine.response) =
       put_u32 b (List.length p.increments);
       List.iter
         (fun (tid, target) ->
-          put_str b (Lineage.Tid.to_string tid);
+          put_rendered Lineage.Tid.add_to_buffer tid;
           put_float b target)
         p.increments)
     b r.proposal;

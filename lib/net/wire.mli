@@ -57,6 +57,11 @@ val encode_request : request -> int * string
 val decode_request : typ:int -> string -> (request, string) result
 
 val encode_response : response -> int * string
+val frame_response : response -> string
+(** [frame_response r] is [Frame.encode ~typ payload] for
+    [(typ, payload) = encode_response r], framed straight from the
+    answer body without building [payload] first. *)
+
 val decode_response : typ:int -> string -> (response, string) result
 
 val body_of_response : Pcqe.Engine.response -> string

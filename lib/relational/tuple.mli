@@ -31,4 +31,7 @@ val hash : t -> int
 val to_string : t -> string
 (** Comma-separated display values in parentheses. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s rendering. *)
+
 val pp : Format.formatter -> t -> unit

@@ -110,12 +110,17 @@ let float_to_string f =
     Printf.sprintf "%.1f" f
   else Printf.sprintf "%g" f
 
-let to_string = function
-  | Null -> "NULL"
-  | Bool b -> if b then "true" else "false"
-  | Int i -> string_of_int i
-  | Float f -> float_to_string f
-  | String s -> s
+let add_to_buffer b = function
+  | Null -> Buffer.add_string b "NULL"
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
+  | Int i -> Lineage.Tid.add_int b i
+  | Float f -> Buffer.add_string b (float_to_string f)
+  | String s -> Buffer.add_string b s
+
+let to_string v =
+  let b = Buffer.create 16 in
+  add_to_buffer b v;
+  Buffer.contents b
 
 let to_sql = function
   | String s ->

@@ -68,6 +68,9 @@ val is_true : bool3 -> bool
 val to_string : t -> string
 (** Display form: [Null] prints as ["NULL"], strings print unquoted. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s rendering. *)
+
 val to_sql : t -> string
 (** SQL literal form: strings are single-quoted with quotes doubled. *)
 

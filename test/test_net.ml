@@ -71,8 +71,66 @@ let test_frame_rejects_malformed () =
   | Error (Net.Frame.Too_large _) -> ()
   | _ -> Alcotest.fail "oversized length not rejected"
 
+(* Bytewise, table-free CRC-32: the reference the sliced one must equal. *)
+let reference_crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let test_crc32_every_short_length () =
+  let st = Random.State.make [| 32 |] in
+  for len = 0 to 64 do
+    let s = String.init len (fun _ -> Char.chr (Random.State.int st 256)) in
+    Alcotest.(check int32) (Printf.sprintf "length %d" len) (reference_crc32 s) (Net.Frame.crc32 s)
+  done
+
+let qcheck_crc32_matches_reference =
+  QCheck.Test.make ~name:"crc32 = bytewise reference (up to 64 KiB)" ~count:60
+    QCheck.(string_of_size (Gen.int_bound 65536))
+    (fun s -> Net.Frame.crc32 s = reference_crc32 s)
+
+let qcheck_crc32_every_offset =
+  QCheck.Test.make ~name:"crc32 = reference on substrings at offsets 0..7" ~count:100
+    QCheck.(string_of_size (Gen.int_range 8 300))
+    (fun s ->
+      List.for_all
+        (fun off ->
+          let sub = String.sub s off (String.length s - off) in
+          Net.Frame.crc32 sub = reference_crc32 sub)
+        [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
+(* a frame built from head and tail is the frame of their concatenation,
+   checksum included, wherever the split falls *)
+let qcheck_frame_tail_split =
+  QCheck.Test.make ~name:"encode ~tail = encode of the concatenation" ~count:200
+    QCheck.(pair (string_of_size (Gen.int_bound 40)) (string_of_size (Gen.int_bound 400)))
+    (fun (head, tail) -> Net.Frame.encode ~typ:10 ~tail head = Net.Frame.encode ~typ:10 (head ^ tail))
+
 (* ------------------------------------------------------------------ *)
 (* message codec *)
+
+let sample_requests =
+  [
+    Net.Wire.Query
+      {
+        user = "u00";
+        purpose = "serve";
+        perc = 0.1 +. 0.2 (* not representable exactly: bits must survive *);
+        sql = "SELECT k FROM R WHERE n < 70";
+        deadline_ms = Some 12.5;
+      };
+    Net.Wire.Query
+      { user = ""; purpose = ""; perc = 0.0; sql = ""; deadline_ms = None };
+    Net.Wire.Accept { user = "u01"; token = 424242 };
+    Net.Wire.Accept { user = "u02"; token = -1 };
+    Net.Wire.Ping;
+  ]
 
 let test_wire_request_roundtrip () =
   List.iter
@@ -81,20 +139,34 @@ let test_wire_request_roundtrip () =
       match Net.Wire.decode_request ~typ payload with
       | Ok req' -> if req <> req' then Alcotest.fail "request changed on the wire"
       | Error m -> Alcotest.failf "decode_request: %s" m)
-    [
-      Net.Wire.Query
-        {
-          user = "u00";
-          purpose = "serve";
-          perc = 0.1 +. 0.2 (* not representable exactly: bits must survive *);
-          sql = "SELECT k FROM R WHERE n < 70";
-          deadline_ms = Some 12.5;
-        };
-      Net.Wire.Query
-        { user = ""; purpose = ""; perc = 0.0; sql = ""; deadline_ms = None };
-      Net.Wire.Accept { user = "u01"; token = 424242 };
-      Net.Wire.Ping;
-    ]
+    sample_requests
+
+let sample_responses =
+  [
+    Net.Wire.Answer
+      {
+        released = 3;
+        withheld = 2;
+        requested = 4;
+        degraded = Some "deadline";
+        proposal_token = Some 7;
+        body = "\x00\x01binary\xffbody";
+      };
+    Net.Wire.Answer
+      {
+        released = 0;
+        withheld = 0;
+        requested = 0xFFFFFFFF;
+        degraded = None;
+        proposal_token = Some max_int;
+        body = "";
+      };
+    Net.Wire.Accepted { applied = 2; cost = 13.25 };
+    Net.Wire.Pong;
+    Net.Wire.Overloaded { retry_after_ms = 50.0 };
+    Net.Wire.Timeout { reason = "deadline expired in admission queue" };
+    Net.Wire.Err "no such user";
+  ]
 
 let test_wire_response_roundtrip () =
   List.iter
@@ -103,22 +175,7 @@ let test_wire_response_roundtrip () =
       match Net.Wire.decode_response ~typ payload with
       | Ok resp' -> if resp <> resp' then Alcotest.fail "response changed on the wire"
       | Error m -> Alcotest.failf "decode_response: %s" m)
-    [
-      Net.Wire.Answer
-        {
-          released = 3;
-          withheld = 2;
-          requested = 4;
-          degraded = Some "deadline";
-          proposal_token = Some 7;
-          body = "\x00\x01binary\xffbody";
-        };
-      Net.Wire.Accepted { applied = 2; cost = 13.25 };
-      Net.Wire.Pong;
-      Net.Wire.Overloaded { retry_after_ms = 50.0 };
-      Net.Wire.Timeout { reason = "deadline expired in admission queue" };
-      Net.Wire.Err "no such user";
-    ]
+    sample_responses
 
 let test_wire_rejects_truncated () =
   let typ, payload =
@@ -132,6 +189,164 @@ let test_wire_rejects_truncated () =
   match Net.Wire.decode_request ~typ (payload ^ "junk") with
   | Ok _ -> Alcotest.fail "trailing bytes accepted"
   | Error _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* golden bytes: the body and frame format itself, pinned.  The identity
+   tests run [body_of_response] on both sides, so only fixed digests can
+   catch a change to the bytes. *)
+
+let demo_ctx () =
+  let dir = Filename.concat ".." (Filename.concat "data" "demo") in
+  let file f = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+  let db =
+    List.fold_left
+      (fun db name -> ok (Relational.Csv.load_file db ~name (Filename.concat dir (name ^ ".csv"))))
+      Db.empty [ "CompanyInfo"; "Proposal" ]
+  in
+  let costs =
+    String.split_on_char '\n' (file "costs.txt")
+    |> List.filter_map (fun l ->
+           match String.index_opt l ' ' with
+           | Some i when l.[0] <> '#' ->
+             let spec = ok (Cost.Cost_model.parse (String.sub l i (String.length l - i))) in
+             Some (String.sub l 0 i, spec)
+           | _ -> None)
+  in
+  let cost_of tid =
+    match List.assoc_opt (Lineage.Tid.to_string tid) costs with
+    | Some c -> c
+    | None -> List.assoc "default" costs
+  in
+  E.make_context ~db ~cost_of
+    ~rbac:(ok (Rbac.Config.parse (file "rbac.txt")))
+    ~policies:(ok (Rbac.Policy.parse_store (file "policies.txt")))
+    ()
+
+(* (name, sql as alice/investment, perc, body md5, frame md5) *)
+let golden_answers =
+  let join =
+    "SELECT Proposal.Company, Income FROM Proposal, CompanyInfo WHERE \
+     Proposal.Company = CompanyInfo.Company"
+  in
+  [
+    ( "select", "SELECT Company, Proposal, Funding FROM Proposal", 1.0,
+      "7015b399ed00d8b972240bb799311c2b", "0bc568d671e10149f70a587df55ba511" );
+    ( "join withholding rows", join, 0.25,
+      "77969f80bc913d452d1902e2b9e105bb", "23e8cad6af44a9107c945977c307e726" );
+    ( "theta 0.9 with proposal", join, 0.9,
+      "f1968c01a8f4433761a94e62690a0636", "47e22ffcd14b20498c3de7b113e70bf4" );
+  ]
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_golden_answer_digests () =
+  let ctx = demo_ctx () in
+  List.iter
+    (fun (name, sql, perc, body_md5, frame_md5) ->
+      let resp =
+        ok (E.answer ctx { E.query = Pcqe.Query.sql sql; user = "alice"; purpose = "investment"; perc })
+      in
+      let proposal_token = Option.map (fun _ -> 1) resp.E.proposal in
+      let typ, payload =
+        Net.Wire.encode_response (Net.Wire.Answer (Net.Wire.answer_of_response ?proposal_token resp))
+      in
+      Alcotest.(check string) (name ^ ": body md5") body_md5 (md5 (Net.Wire.body_of_response resp));
+      Alcotest.(check string) (name ^ ": frame md5") frame_md5 (md5 (Net.Frame.encode ~typ payload));
+      Alcotest.(check string) (name ^ ": frame_response md5") frame_md5
+        (md5 (Net.Wire.frame_response (Net.Wire.Answer (Net.Wire.answer_of_response ?proposal_token resp)))))
+    golden_answers
+
+(* every request and response type, framed back to back *)
+let test_golden_message_digest () =
+  let frame (typ, payload) = Net.Frame.encode ~typ payload in
+  let all =
+    List.map (fun r -> frame (Net.Wire.encode_request r)) sample_requests
+    @ List.map (fun r -> frame (Net.Wire.encode_response r)) sample_responses
+  in
+  Alcotest.(check string) "frames md5" "628606f7a79f0ed6960e2abc3d0d106b" (md5 (String.concat "" all))
+
+let test_golden_strings () =
+  let open Lineage in
+  let tid = Tid.make in
+  List.iter
+    (fun (want, t) -> Alcotest.(check string) want want (Tid.to_string t))
+    [
+      ("Proposal#2", tid "Proposal" 2);
+      ("R#0", tid "R" 0);
+      ("R#-7", tid "R" (-7));
+      ("R#4611686018427387903", tid "R" max_int);
+      ("R#-4611686018427387904", tid "R" min_int);
+      ("a#b#10", tid "a#b" 10);
+    ];
+  List.iter
+    (fun (want, t) ->
+      Alcotest.(check string) want want (Relational.Tuple.to_string (Relational.Tuple.of_list t)))
+    [
+      ("()", []);
+      ("(-42)", [ V.Int (-42) ]);
+      ( "(-42, NULL, a, b, , 2.5, 3.0, -0.0, 1e+20, 1.23457e-05, nan, -inf, true, false, 0)",
+        [
+          V.Int (-42); V.Null; V.String "a, b"; V.String ""; V.Float 2.5; V.Float 3.0;
+          V.Float (-0.0); V.Float 1e20; V.Float 0.0000123456789; V.Float nan; V.Float neg_infinity;
+          V.Bool true; V.Bool false; V.Int 0;
+        ] );
+      ("(-4611686018427387904, 4611686018427387903)", [ V.Int min_int; V.Int max_int ]);
+    ];
+  let a = Formula.Var (tid "A" 1) and b = Formula.Var (tid "B" (-2)) and c = Formula.Var (tid "C" 30) in
+  List.iter
+    (fun (want, f) -> Alcotest.(check string) want want (Formula.to_string f))
+    Formula.
+      [
+        ("T", True);
+        ("F", False);
+        ("A#1", a);
+        ("!A#1", Not a);
+        ("!!A#1", Not (Not a));
+        ("A#1 & B#-2 & C#30", And [ a; b; c ]);
+        ("A#1 | B#-2", Or [ a; b ]);
+        ("A#1 & (B#-2 | !C#30)", And [ a; Or [ b; Not c ] ]);
+        ("A#1 & B#-2 | C#30", Or [ And [ a; b ]; c ]);
+        ("!(A#1 & B#-2)", Not (And [ a; b ]));
+        ("!(A#1 | B#-2) & (T | F)", And [ Not (Or [ a; b ]); Or [ True; False ] ]);
+        ("(A#1 | (B#-2 | C#30)) & !!(A#1 & !B#-2)", And [ Or [ a; Or [ b; c ] ]; Not (Not (And [ a; Not b ])) ]);
+        ("", And []);
+      ]
+
+(* Encoders keep no shared scratch: connection threads encode at once.
+   Four threads each encode their own answer 1 000 times; every frame
+   must equal that answer's sequential encoding. *)
+let test_concurrent_encoding () =
+  let base =
+    ok (E.answer (demo_ctx ()) { E.query = Pcqe.Query.sql "SELECT Company FROM Proposal"; user = "alice"; purpose = "investment"; perc = 1.0 })
+  in
+  let response seed =
+    let released =
+      List.init (200 + (seed * 37)) (fun k ->
+          {
+            E.tuple = Relational.Tuple.of_list [ V.Int ((k * 7919 * (seed + 1)) - 500_000); V.String (string_of_int seed) ];
+            lineage = Lineage.Formula.(And [ Var (Lineage.Tid.make "R" (k * (seed + 3))); Not (Var (Lineage.Tid.make "S" (-k))) ]);
+            confidence = float_of_int k /. 1000.0;
+            conf_tier = "cached";
+          })
+    in
+    { base with E.released }
+  in
+  let encode r = Net.Wire.frame_response (Net.Wire.Answer (Net.Wire.answer_of_response r)) in
+  let responses = Array.init 4 response in
+  let expected = Array.map encode responses in
+  let mismatches = Atomic.make 0 in
+  let run i () =
+    for _ = 1 to 1000 do
+      if not (String.equal (encode responses.(i)) expected.(i)) then Atomic.incr mismatches
+    done
+  in
+  let threads ids = List.iter Thread.join (List.map (fun i -> Thread.create (run i) ()) ids) in
+  (* two threads on a second domain as well: switches at safepoints and
+     true parallelism *)
+  let other = Domain.spawn (fun () -> threads [ 2; 3 ]) in
+  threads [ 0; 1 ];
+  Domain.join other;
+  Alcotest.(check int) "frames differing from the sequential encoding" 0 (Atomic.get mismatches)
 
 (* ------------------------------------------------------------------ *)
 (* server fixtures *)
@@ -276,6 +491,57 @@ let test_server_accept_token () =
             Alcotest.(check bool) "more released after accept" true
               (a'.Net.Wire.released > a.Net.Wire.released)
           | o -> Alcotest.failf "re-query failed: %s" (Net.Client.outcome_label o)))
+
+(* ------------------------------------------------------------------ *)
+(* signals: a client interrupted mid-round-trip (EINTR) carries on *)
+
+(* T(x, s) with [rows] rows, all released at β = 0.5: a select answer
+   of about 90 bytes per row *)
+let wide_ctx rows =
+  let open Relational in
+  let r = Relation.create "T" (Schema.of_list [ ("x", V.TInt); ("s", V.TString) ]) in
+  let pad = String.make 48 'w' in
+  let db =
+    Seq.fold_left
+      (fun db x -> fst (Db.insert db "T" [ V.Int x; V.String pad ] ~conf:0.9))
+      (Db.add_relation Db.empty r)
+      (Seq.init rows Fun.id)
+  in
+  { (build_ctx ()) with E.db }
+
+let test_client_survives_sigalrm () =
+  let ctx = wide_ctx 14_000 in
+  (* SIGALRM is blocked in the server's threads (they inherit the mask
+     they are started under), so every alarm lands on this client
+     thread's reads and writes *)
+  let mask = Thread.sigmask Unix.SIG_BLOCK [ Sys.sigalrm ] in
+  let server = Net.Server.start ~ctx (Net.Server.Unix_path (sock_path ())) in
+  ignore (Thread.sigmask Unix.SIG_SETMASK mask);
+  let alarms = ref 0 in
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> incr alarms)) in
+  let every_ms = { Unix.it_interval = 0.001; it_value = 0.001 } in
+  let client =
+    Net.Client.create
+      ~config:{ Net.Client.default_config with retries = 0; request_timeout_ms = 10_000.0 }
+      (Net.Server.address server)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.0; it_value = 0.0 });
+      Sys.set_signal Sys.sigalrm previous;
+      Net.Client.close client;
+      Net.Server.stop server)
+    (fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL every_ms);
+      for i = 1 to 200 do
+        match Net.Client.query client ~user:"u0" ~purpose:"p" ~perc:0.3 "SELECT x, s FROM T" with
+        | Net.Client.Answer a ->
+          if String.length a.Net.Wire.body < 1 lsl 20 then
+            Alcotest.failf "answer of %d bytes, want >= 1 MiB" (String.length a.Net.Wire.body)
+        | o -> Alcotest.failf "round trip %d: %s" i (Net.Client.outcome_label o)
+      done;
+      Alcotest.(check int) "no retries" 0 (Net.Client.retries_used client);
+      Alcotest.(check bool) "alarms fired" true (!alarms > 200))
 
 (* ------------------------------------------------------------------ *)
 (* admission: shedding and queue-expired timeouts *)
@@ -532,6 +798,10 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
           Alcotest.test_case "crc32 vector" `Quick test_frame_crc32_vector;
+          Alcotest.test_case "crc32 every length 0..64" `Quick test_crc32_every_short_length;
+          QCheck_alcotest.to_alcotest qcheck_crc32_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_crc32_every_offset;
+          QCheck_alcotest.to_alcotest qcheck_frame_tail_split;
           Alcotest.test_case "rejects malformed" `Quick test_frame_rejects_malformed;
         ] );
       ( "wire",
@@ -539,6 +809,10 @@ let () =
           Alcotest.test_case "request roundtrip" `Quick test_wire_request_roundtrip;
           Alcotest.test_case "response roundtrip" `Quick test_wire_response_roundtrip;
           Alcotest.test_case "rejects truncated" `Quick test_wire_rejects_truncated;
+          Alcotest.test_case "golden answer digests" `Quick test_golden_answer_digests;
+          Alcotest.test_case "golden message digest" `Quick test_golden_message_digest;
+          Alcotest.test_case "golden strings" `Quick test_golden_strings;
+          Alcotest.test_case "concurrent encoding" `Quick test_concurrent_encoding;
         ] );
       ( "server",
         [
@@ -554,5 +828,6 @@ let () =
             test_server_survives_malformed_frames;
           Alcotest.test_case "chaos: all requests terminal" `Quick
             test_server_chaos_all_terminal;
+          Alcotest.test_case "client survives SIGALRM" `Quick test_client_survives_sigalrm;
         ] );
     ]
