@@ -14,10 +14,11 @@ type t = {
          entry even though the scalar epoch never moved *)
   views_epoch : int;
   mutable evaluated : (int array * Relational.Eval.annotated) option;
-  mutable confs : (int array * float array) option;
-      (* safe-plan confidences, keyed by the confidence vector they were
-         computed under (row memoization above is structural-vector-keyed;
-         confidences go stale faster) *)
+  mutable confs : (int array * int array * float array) option;
+      (* safe-plan confidences, keyed by the structural and confidence
+         vectors they were computed under: [add_relation] moves only the
+         structural vector, so the confidence vector alone would serve
+         stale values for new rows *)
 }
 
 let ( let* ) = Result.bind
@@ -68,44 +69,23 @@ let eval ?obs ?pool t ~db =
     t.evaluated <- Some (Db.structural_vector db, res);
     Ok res
 
-let row_confs db (res : Relational.Eval.annotated) =
-  let p = Db.confidence_fn db in
-  Array.of_list
-    (List.map
-       (fun (r : Relational.Eval.row) ->
-         Lineage.Prob.confidence p r.Relational.Eval.lineage)
-       res.Relational.Eval.rows)
-
-(* [eval] plus safe-plan confidences.  For a safe plan (with the circuit
-   fast path on), the cold evaluation computes confidences during batch
-   evaluation ([Sharded.run_conf]); memo hits whose confidence vector
-   moved refresh them with one linear read-once pass over the memoized
-   rows. [None] confidences mean the caller runs the ladder as before. *)
+(* [eval] plus safe-plan confidences: one linear read-once pass per row
+   under the caller's own [db], memoized per (structural, confidence)
+   vector pair.  The memo is one immutable triple swapped whole, so a
+   concurrent caller on another snapshot can never hand this one its
+   values.  [None] confidences mean the caller runs the ladder. *)
 let eval_conf ?obs ?pool t ~db =
-  if not (t.safe && Lineage.Circuit.enabled ()) then
-    let* res = eval ?obs ?pool t ~db in
-    Ok (res, None)
+  let* res = eval ?obs ?pool t ~db in
+  if not (t.safe && Lineage.Circuit.enabled ()) then Ok (res, None)
   else
     let sv = Db.structural_vector db and cv = Db.confidence_vector db in
-    match t.evaluated with
-    | Some (vec, res) when vec = sv -> (
-      Obs.incr obs "serving.eval_reused";
-      match t.confs with
-      | Some (cvec, confs) when cvec = cv -> Ok (res, Some confs)
-      | _ ->
-        let confs = row_confs db res in
-        t.confs <- Some (cv, confs);
-        Ok (res, Some confs))
-    | _ -> (
-      let* res, confs = Relational.Sharded.run_conf ?pool db t.plan in
-      t.evaluated <- Some (sv, res);
-      match confs with
-      | Some confs ->
-        t.confs <- Some (cv, confs);
-        Ok (res, Some confs)
-      | None ->
-        (* [run_conf] re-checks the kill switch; if it flipped between
-           our check and the run, recompute inline for consistency *)
-        let confs = row_confs db res in
-        t.confs <- Some (cv, confs);
-        Ok (res, Some confs))
+    match t.confs with
+    | Some (svec, cvec, confs) when svec = sv && cvec = cv ->
+      Ok (res, Some confs)
+    | _ ->
+      let confs =
+        Array.of_list
+          (List.map (Relational.Eval.confidence db) res.Relational.Eval.rows)
+      in
+      t.confs <- Some (sv, cv, confs);
+      Ok (res, Some confs)

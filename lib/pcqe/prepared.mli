@@ -83,10 +83,13 @@ val eval_conf :
   (Relational.Eval.annotated * float array option, string) result
 (** {!eval} plus the safe-plan confidence fast path: when {!safe} and
     {!Lineage.Circuit.enabled}, also returns per-row confidences
-    (index-aligned with the result rows) computed during batch
-    evaluation — bitwise what the degradation ladder would report for
-    the same rows.  Confidences are memoized per confidence vector
-    alongside the structural-vector row memo; a confidence-only mutation
-    refreshes them with one linear pass.  [None] means the plan is not
-    safe (or the fast path is off) and the caller must price the
-    ladder/cache path as before. *)
+    (index-aligned with the result rows), each one linear read-once pass
+    over the row's lineage under [db]'s own confidence table — bitwise
+    what the degradation ladder would report for the same rows.  This is
+    the only place safe-plan confidences are computed.  They are
+    memoized per (structural vector, confidence vector) pair, so a
+    confidence-only mutation or a replaced base relation reprices them
+    and concurrent callers on different snapshots each get their own
+    snapshot's values.  [None] means the plan is not safe (or the fast
+    path is off) and the caller must price the ladder/cache path as
+    before. *)

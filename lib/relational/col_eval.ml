@@ -485,17 +485,12 @@ let eval_mask (p : pred) b pool =
 (* Scan-batch cache                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type centry = {
-  mutable conf_epoch : int;
-  batch : Colbatch.t option; (* [None]: the relation declined *)
-}
-
 (* Keyed by (relation name, structural epoch): per-shard views of the
    same relation carry distinct shard-structural stamps, so each shard's
    batch gets its own slot instead of evicting the others on every
    alternation.  Stamps are process-globally unique, so a key can never
-   alias a different row set. *)
-let cache : (string * int, centry) Hashtbl.t = Hashtbl.create 16
+   alias a different row set.  [None] records a declined relation. *)
+let cache : (string * int, Colbatch.t option) Hashtbl.t = Hashtbl.create 16
 let cache_mutex = Mutex.create ()
 let cache_capacity = 64
 
@@ -506,30 +501,15 @@ let cached_batch db r =
   let key = (Relation.name r, Database.structural_epoch db) in
   Mutex.protect cache_mutex (fun () ->
       match Hashtbl.find_opt cache key with
-      | Some e -> e.batch
+      | Some batch -> batch
       | None ->
         if Hashtbl.length cache >= cache_capacity then Hashtbl.reset cache;
-        let batch = Colbatch.of_relation db r in
-        Hashtbl.replace cache key
-          { conf_epoch = Database.confidence_epoch db; batch };
+        let batch = Colbatch.of_relation r in
+        Hashtbl.replace cache key batch;
         batch)
 
 let scan_batch db name =
-  match Database.relation db name with
-  | None -> None
-  | Some r -> (
-    match cached_batch db r with
-    | None -> None
-    | Some b ->
-      let key = (name, Database.structural_epoch db) in
-      let ce = Database.confidence_epoch db in
-      Mutex.protect cache_mutex (fun () ->
-          match Hashtbl.find_opt cache key with
-          | Some e when e.conf_epoch <> ce ->
-            Colbatch.refresh_confidences db b;
-            e.conf_epoch <- ce
-          | _ -> ());
-      Some b)
+  Option.bind (Database.relation db name) (cached_batch db)
 
 (* ------------------------------------------------------------------ *)
 (* Plan compiler and hybrid evaluation                                 *)
@@ -539,13 +519,7 @@ type staged = Exec.Pool.t option -> Colbatch.t
 
 let rec compile_plan db (plan : Algebra.t) : staged option =
   match plan with
-  | Algebra.Scan name -> (
-    match Database.relation db name with
-    | None -> None
-    | Some r -> (
-      match cached_batch db r with
-      | None -> None
-      | Some b -> Some (fun _ -> b)))
+  | Algebra.Scan name -> Option.map (fun b _ -> b) (scan_batch db name)
   | Algebra.Select (pred, p) -> (
     match compile_plan db p with
     | None -> None
@@ -591,73 +565,17 @@ let rec compile_plan db (plan : Algebra.t) : staged option =
         Some (fun pool -> Colbatch.with_schema (child pool) schema)))
   | _ -> None
 
-let enabled () =
-  match Sys.getenv_opt "PCQE_COLUMNAR" with
-  | Some ("0" | "off" | "false" | "no") -> false
-  | _ -> true
-
-let vectorizes db plan = enabled () && Option.is_some (compile_plan db plan)
+let vectorizes db plan = Option.is_some (compile_plan db plan)
 
 let run_rows ?pool db plan =
-  if not (enabled ()) then Eval.run_rows db plan
-  else
-    let rec hybrid db plan =
-      match compile_plan db plan with
-      | Some exec -> Ok (Colbatch.to_rows (exec pool))
-      | None -> Eval.run_rows_via hybrid db plan
-    in
-    hybrid db plan
+  let rec hybrid db plan =
+    match compile_plan db plan with
+    | Some exec -> Ok (Colbatch.to_rows (exec pool))
+    | None -> Eval.run_rows_via hybrid db plan
+  in
+  hybrid db plan
 
 let run ?pool db plan =
   let* schema = Algebra.output_schema db plan in
   let* rows = run_rows ?pool db plan in
   Ok { Eval.schema; rows }
-
-(* Safe-plan fast path (see [Eval.run_conf]): confidences computed during
-   batch evaluation.  A fully vectorized plan keeps [Tids] lineage, whose
-   row confidence IS the cached base-confidence column — one array read
-   per row, no formula walk at all.  Dedup pipelines ([Forms]) and hybrid
-   fallbacks use the linear read-once evaluator per row.  Either way the
-   values are bitwise what the ladder's read-once rung returns. *)
-let run_conf ?pool db plan =
-  let safe () = Lineage.Circuit.enabled () && Safe_plan.analyze plan in
-  if not (enabled ()) then
-    if safe () then Eval.run_conf db plan
-    else
-      let* res = Eval.run db plan in
-      Ok (res, None)
-  else if not (safe ()) then
-    let* res = run ?pool db plan in
-    Ok (res, None)
-  else
-    let* schema = Algebra.output_schema db plan in
-    match compile_plan db plan with
-    | Some exec ->
-      (* scan batches are cached across confidence epochs; force the
-         refresh [scan_batch] performs so the conf column is current *)
-      List.iter
-        (fun name -> ignore (scan_batch db name))
-        (Algebra.base_relations plan);
-      let b = exec pool in
-      let rows = Colbatch.to_rows b in
-      let n = Colbatch.length b in
-      let confs =
-        match b.Colbatch.lin with
-        | Colbatch.Tids _ ->
-          Array.init n (fun i -> b.Colbatch.conf.(Colbatch.phys b i))
-        | Colbatch.Forms _ ->
-          let p = Database.confidence_fn db in
-          Array.init n (fun i ->
-              Lineage.Prob.confidence p (Colbatch.lineage b i))
-      in
-      Ok ({ Eval.schema; rows }, Some confs)
-    | None ->
-      let* rows = run_rows ?pool db plan in
-      let p = Database.confidence_fn db in
-      let confs =
-        Array.of_list
-          (List.map
-             (fun (r : Eval.row) -> Lineage.Prob.confidence p r.lineage)
-             rows)
-      in
-      Ok ({ Eval.schema; rows }, Some confs)

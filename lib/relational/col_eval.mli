@@ -23,16 +23,12 @@
     (disjoint row ranges, so results are independent of the jobs count).
 
     Scan batches are cached per relation name, keyed by the database's
-    structural epoch, in a small process-global table; confidence updates
-    do not invalidate them (lineage and values are confidence-independent
-    — {!scan_batch} refreshes the confidence column on demand).
-
-    Set [PCQE_COLUMNAR=0] (or [off]/[false]/[no]) to disable the
-    vectorized path entirely; {!run} then behaves exactly like
-    {!Eval.run}. *)
-
-val enabled : unit -> bool
-(** Whether the columnar path is on (the [PCQE_COLUMNAR] gate). *)
+    structural epoch, in a small process-global table.  A batch holds
+    lineage and values only — both confidence-independent — so
+    confidence updates neither invalidate nor touch it, and a cached
+    batch is never written after it is built.  Confidences are priced
+    from the caller's own database downstream ({!Eval.confidence},
+    [Prepared.eval_conf], the confidence cache). *)
 
 val vectorizes : Database.t -> Algebra.t -> bool
 (** [vectorizes db plan] is [true] when the {e whole} plan compiles to
@@ -53,24 +49,9 @@ val run_rows :
   (Eval.row list, string) result
 (** {!run} without the output schema. *)
 
-val run_conf :
-  ?pool:Exec.Pool.t ->
-  Database.t ->
-  Algebra.t ->
-  (Eval.annotated * float array option, string) result
-(** Columnar counterpart of {!Eval.run_conf}: evaluates [plan] and, when
-    the static {!Safe_plan} analysis proves it safe (and
-    {!Lineage.Circuit.enabled}), returns per-row confidences computed
-    during batch evaluation — for fully vectorized pipelines the values
-    come straight from the cached confidence column (one array read per
-    row, no formula walk); dedup and hybrid paths use the linear
-    read-once evaluator.  [None] means the ladder must be consulted. *)
-
 val scan_batch : Database.t -> string -> Colbatch.t option
-(** The cached columnar image of a base relation with its confidence
-    column refreshed to the database's current confidence epoch, or
-    [None] for unknown/declined relations.  Used by ranking helpers
-    (top-K by confidence) and benchmarks. *)
+(** The cached columnar image of a base relation, or [None] for
+    unknown/declined relations.  Used by tests and benchmarks. *)
 
 val clear_cache : unit -> unit
 (** Drop all cached scan batches (tests and benchmarks). *)

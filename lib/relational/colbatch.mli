@@ -3,11 +3,14 @@
     A batch holds one relation's (or intermediate result's) data as typed
     columns stored side by side — [Bigarray] buffers for int and real
     columns, byte arrays for bools, dictionary codes for strings — plus a
-    per-column null byte-map, and the lineage carriers (tuple-id column,
-    or merged formulas after duplicate elimination) and the base
-    confidence column.  A selection vector narrows the batch to a subset
-    of physical rows without copying column data; operators that must
-    materialize (duplicate elimination) compact into a fresh batch.
+    per-column null byte-map, and the lineage carrier (tuple-id column,
+    or merged formulas after duplicate elimination).  A batch holds no
+    confidences: lineage and values do not depend on the confidence
+    table, so a cached batch serves every confidence snapshot of the
+    same structure and is never written after it is built.  A
+    selection vector narrows the batch to a subset of physical rows
+    without copying column data; operators that must materialize
+    (duplicate elimination) compact into a fresh batch.
 
     The contract with the row engine ({!Eval}) is bit-identity:
     {!to_rows} of any batch pipeline equals the row engine's output —
@@ -45,17 +48,13 @@ type t = {
   cols : col array;
   nulls : Bytes.t array;  (** per column, ['\001'] = NULL, length [nrows] *)
   lin : lin;
-  conf : float array;
-      (** per physical row: the base confidence of the originating tuple
-          (meaningful for scan/filter pipelines; dedup keeps the
-          representative's value) *)
   sel : int array option;
       (** selection vector of physical indices, in logical order;
           [None] = all rows *)
 }
 
-val of_relation : Database.t -> Relation.t -> t option
-(** Columnarize a stored relation (tids, confidences and values), or
+val of_relation : Relation.t -> t option
+(** Columnarize a stored relation (tids and values), or
     [None] when the relation is not exactly representable (an integer
     beyond 2{^53} in an int or real column). *)
 
@@ -89,10 +88,6 @@ val limit : t -> int -> t
 
 val with_schema : t -> Schema.t -> t
 (** Replace the schema (RENAME changes names only, never data). *)
-
-val refresh_confidences : Database.t -> t -> unit
-(** Refill the confidence column from the database's current confidence
-    table (scan batches are cached across confidence epochs). *)
 
 val value : t -> int -> int -> Value.t
 (** [value b c p] is column [c] at {e physical} row [p], boxed. *)

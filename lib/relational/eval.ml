@@ -490,17 +490,6 @@ let confidence db row =
 let with_confidence db res =
   List.map (fun r -> (r, confidence db r)) res.rows
 
-(* Safe-plan fast path: when the static analysis proves every row's
-   lineage read-once (and the circuit fast path is on), confidences are
-   computed inline with the linear product evaluator — the ladder, the
-   class cache, and all their bookkeeping are skipped.  The values are
-   bitwise what the ladder's read-once rung would return. *)
-let run_conf db plan =
-  let* res = run db plan in
-  if Lineage.Circuit.enabled () && Safe_plan.analyze plan then
-    Ok (res, Some (Array.of_list (List.map (confidence db) res.rows)))
-  else Ok (res, None)
-
 let to_string ?max_rows res =
   let headers = Schema.column_names res.schema @ [ "lineage" ] in
   let all = res.rows in

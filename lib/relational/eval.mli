@@ -43,15 +43,6 @@ val confidence : Database.t -> row -> float
 val with_confidence : Database.t -> annotated -> (row * float) list
 (** [with_confidence db res] pairs every row with its confidence. *)
 
-val run_conf :
-  Database.t -> Algebra.t -> (annotated * float array option, string) result
-(** [run_conf db plan] evaluates [plan] and, when {!Safe_plan.analyze}
-    proves the plan safe (and {!Lineage.Circuit.enabled}), also returns
-    the per-row confidences (index-aligned with [rows]) computed inline
-    by the linear read-once evaluator — bitwise the values the
-    degradation ladder would produce, at none of its cost.  [None]
-    means the caller must consult the ladder as before. *)
-
 val to_string : ?max_rows:int -> annotated -> string
 (** ASCII rendering including a lineage column; [max_rows] truncates long
     results (default: unlimited). *)

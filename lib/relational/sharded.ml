@@ -91,22 +91,3 @@ let run ?pool db plan =
   let* schema = Algebra.output_schema db plan in
   let* rows = run_rows ?pool db plan in
   Ok { Eval.schema; rows }
-
-(* Safe-plan confidence fast path, sharded: gather first, then one
-   linear read-once pass per row — bitwise what {!Col_eval.run_conf}'s
-   hybrid branch (and the ladder's read-once rung) computes. *)
-let run_conf ?pool db plan =
-  if Database.shard_count db <= 1 then Col_eval.run_conf ?pool db plan
-  else if not (Lineage.Circuit.enabled () && Safe_plan.analyze plan) then
-    let* res = run ?pool db plan in
-    Ok (res, None)
-  else
-    let* res = run ?pool db plan in
-    let p = Database.confidence_fn db in
-    let confs =
-      Array.of_list
-        (List.map
-           (fun (r : Eval.row) -> Lineage.Prob.confidence p r.Eval.lineage)
-           res.Eval.rows)
-    in
-    Ok (res, Some confs)

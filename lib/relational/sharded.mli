@@ -33,14 +33,3 @@ val run_rows :
   Algebra.t ->
   (Eval.row list, string) result
 (** {!run} without the output schema. *)
-
-val run_conf :
-  ?pool:Exec.Pool.t ->
-  Database.t ->
-  Algebra.t ->
-  (Eval.annotated * float array option, string) result
-(** Sharded counterpart of {!Col_eval.run_conf}: evaluation as {!run},
-    plus per-row confidences when the static {!Safe_plan} analysis
-    proves the plan safe (and {!Lineage.Circuit.enabled}) — bitwise the
-    ladder's read-once values.  [None] means the caller must price the
-    ladder as before. *)

@@ -267,27 +267,15 @@ let test_vectorizes () =
   Alcotest.(check bool) "declined still identical" true
     (result_ident (Eval.run db2 plan) (Col.run db2 plan))
 
-let test_gate_off () =
-  let db = Db.add_relation Db.empty (R.create "t" (S.of_list [ ("a", V.TInt) ])) in
-  let plan = A.Scan "t" in
-  Unix.putenv "PCQE_COLUMNAR" "0";
-  Alcotest.(check bool) "gate off" false (Col.vectorizes db plan);
-  Alcotest.(check bool) "gate off still identical" true
-    (result_ident (Eval.run db plan) (Col.run db plan));
-  Unix.putenv "PCQE_COLUMNAR" "1";
-  Alcotest.(check bool) "gate back on" true (Col.vectorizes db plan)
-
 let test_scan_cache_epochs () =
   let db = Db.add_relation Db.empty (R.create "t" (S.of_list [ ("a", V.TInt) ])) in
   let db = fst (Db.insert db "t" [ V.Int 1 ] ~conf:0.5) in
   let b1 = Option.get (Col.scan_batch db "t") in
-  Alcotest.(check (float 0.0)) "conf loaded" 0.5 b1.Relational.Colbatch.conf.(0);
-  (* confidence mutation: same batch, refreshed confidences *)
+  (* confidence mutation: same batch (it holds no confidences) *)
   let tid = Lineage.Tid.make "t" 0 in
   let db = Db.set_confidence db tid 0.8 in
   let b2 = Option.get (Col.scan_batch db "t") in
   Alcotest.(check bool) "batch reused across confidence change" true (b1 == b2);
-  Alcotest.(check (float 0.0)) "conf refreshed" 0.8 b2.Relational.Colbatch.conf.(0);
   (* structural mutation: fresh batch *)
   let db = fst (Db.insert db "t" [ V.Int 2 ] ~conf:0.1) in
   let b3 = Option.get (Col.scan_batch db "t") in
@@ -395,6 +383,98 @@ let test_dedup_dict_fast_path () =
   Alcotest.(check bool) "grouped lineage pinned" true
     (List.for_all2 F.equal expect got)
 
+(* ---------------- confidence snapshots sharing one scan batch -------- *)
+
+(* Two confidence snapshots of one structure share the structural epoch,
+   hence one cached scan batch.  Principals answering a fully vectorized
+   safe select concurrently, one per snapshot, must each be priced from
+   their own snapshot: in [x] every row sits at 0.3 and nothing clears
+   β = 0.6; in [y] every 8th row below k = 4800 is raised to 0.9, so
+   exactly those 600 rows are released. *)
+
+let race_beta = 0.6
+let race_iterations = 300
+let race_sql = "SELECT * FROM R WHERE k < 5000"
+
+let race_snapshots () =
+  let n = 20_000 in
+  let schema = S.of_list [ ("k", V.TInt) ] in
+  let r =
+    R.of_tuples "R" schema
+      (List.init n (fun k -> Relational.Tuple.of_list [ V.Int k ]))
+  in
+  let x = Db.bulk_load Db.empty r (Array.make n 0.3) in
+  let y =
+    List.fold_left
+      (fun db k -> Db.set_confidence db (Lineage.Tid.make "R" k) 0.9)
+      x
+      (List.init 600 (fun i -> i * 8))
+  in
+  (x, y)
+
+let race_context db =
+  let open Rbac.Core_rbac in
+  let m = add_user (add_role empty "analyst") "u" in
+  let m = ok (assign_user m ~user:"u" ~role:"analyst") in
+  let rbac = ok (grant m ~role:"analyst" { action = "select"; resource = "*" }) in
+  let policies =
+    Rbac.Policy.of_list
+      [ Rbac.Policy.make ~role:"analyst" ~purpose:"p" ~beta:race_beta ]
+  in
+  Pcqe.Engine.make_context ~jobs:1 ~db ~rbac ~policies ()
+
+(* [race_iterations] cold answers on one snapshot (no serving caches, so
+   every answer prepares and evaluates afresh); returns the number of
+   answers that released a wrong row or the wrong number of rows. *)
+let race_answers db ~expected =
+  let ctx = race_context db in
+  let request =
+    { Pcqe.Engine.query = Pcqe.Query.sql race_sql; user = "u"; purpose = "p";
+      perc = 0.0 }
+  in
+  let wrong = ref 0 in
+  for _ = 1 to race_iterations do
+    match Pcqe.Engine.answer ctx request with
+    | Error _ -> incr wrong
+    | Ok resp ->
+      let own (row : Pcqe.Engine.released) =
+        match row.lineage with
+        | F.Var tid ->
+          row.confidence = Db.confidence db tid && row.confidence > race_beta
+        | _ -> false
+      in
+      if
+        List.length resp.released <> expected
+        || not (List.for_all own resp.released)
+      then incr wrong
+  done;
+  !wrong
+
+let check_race ~spawn ~join =
+  let x, y = race_snapshots () in
+  let plan = A.Select (Ex.(col "k" <% int 5000), A.Scan "R") in
+  Alcotest.(check bool) "select vectorizes" true (Col.vectorizes x plan);
+  Alcotest.(check bool) "select is safe" true (Relational.Safe_plan.analyze plan);
+  Col.clear_cache ();
+  let other = spawn (fun () -> race_answers x ~expected:0) in
+  let wrong_y = race_answers y ~expected:600 in
+  let wrong_x = join other in
+  Alcotest.(check int) "snapshot x answers priced from x" 0 wrong_x;
+  Alcotest.(check int) "snapshot y answers priced from y" 0 wrong_y
+
+let test_snapshot_race_threads () =
+  check_race
+    ~spawn:(fun f ->
+      let result = ref (-1) in
+      let th = Thread.create (fun () -> result := f ()) () in
+      (th, result))
+    ~join:(fun (th, result) ->
+      Thread.join th;
+      !result)
+
+let test_snapshot_race_domains () =
+  check_race ~spawn:Domain.spawn ~join:Domain.join
+
 let () =
   Alcotest.run "columnar"
     [
@@ -408,10 +488,14 @@ let () =
       ( "directed",
         [
           ("vectorizes + decline", `Quick, test_vectorizes);
-          ("PCQE_COLUMNAR gate", `Quick, test_gate_off);
           ("scan cache epochs", `Quick, test_scan_cache_epochs);
           ("bulk ingest epochs", `Quick, test_bulk_epochs);
           ("bulk ingest chunked", `Quick, test_bulk_large_chunked);
           ("dict dedup fast path", `Quick, test_dedup_dict_fast_path);
+        ] );
+      ( "snapshot",
+        [
+          ("concurrent snapshots, threads", `Quick, test_snapshot_race_threads);
+          ("concurrent snapshots, domains", `Quick, test_snapshot_race_domains);
         ] );
     ]

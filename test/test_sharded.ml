@@ -111,6 +111,71 @@ let qcheck_sharded_run_identity =
             [ 1; 2; 4 ])
         [ 1; 2; 4 ])
 
+(* ---------------- safe-plan confidences (Prepared.eval_conf) -------- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [eval_conf] on [db]: the row engine's rows for the prepared plan, and
+   per-row confidences bitwise [Prob.confidence] of each row under [db]
+   itself, whatever snapshot the memo last saw. *)
+let eval_conf_ok p db =
+  let expected = Eval.run db (Pcqe.Prepared.plan p) in
+  match Pcqe.Prepared.eval_conf p ~db with
+  | Ok (res, Some confs) ->
+    result_ident expected (Ok res)
+    && Array.length confs = List.length res.Eval.rows
+    && List.for_all2
+         (fun c (r : Eval.row) ->
+           same_bits c
+             (Lineage.Prob.confidence (Db.confidence_fn db) r.Eval.lineage))
+         (Array.to_list confs) res.Eval.rows
+  | Ok (_, None) -> false
+  | Error e -> result_ident expected (Error e)
+
+let qcheck_eval_conf_exact =
+  QCheck.Test.make
+    ~name:"eval_conf = Prob.confidence per row: cold, after set_confidence, \
+           after add_relation, at shards 1/2/4"
+    ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Sm.of_int seed in
+      let db0 = random_db rng in
+      let plan = random_plan rng in
+      let views = Relational.Views.empty in
+      Lineage.Circuit.force (Some true);
+      Fun.protect ~finally:(fun () -> Lineage.Circuit.force None) (fun () ->
+          List.for_all
+            (fun shards ->
+              let db = Db.with_shards db0 shards in
+              let p = ok (Pcqe.Prepared.compile ~db ~views (Pcqe.Query.plan plan)) in
+              let r = Db.relation_exn db "r" in
+              let tids = List.map fst (R.tuples r) in
+              (* confidence-only change: the row memo hits, the
+                 confidences must follow the new snapshot *)
+              let db1 =
+                List.fold_left
+                  (fun db tid ->
+                    if Sm.coin rng 0.5 then
+                      Db.set_confidence db tid (Sm.float_in rng 0.0 1.0)
+                    else db)
+                  db tids
+              in
+              (* replace the base relation: the structural vector moves,
+                 the confidence vector does not *)
+              let db2 =
+                match tids with
+                | first :: _ -> Db.add_relation db1 (R.delete r first)
+                | [] -> Db.add_relation db1 r
+              in
+              Pcqe.Prepared.safe p
+              && eval_conf_ok p db
+              && eval_conf_ok p db1
+              && eval_conf_ok p db1
+              && eval_conf_ok p db
+              && eval_conf_ok p db2)
+            [ 1; 2; 4 ]))
+
 (* ---------------- engine transparency (all four solvers) ------------ *)
 
 let mk_rbac () =
@@ -419,6 +484,7 @@ let () =
         [
           qcheck qcheck_sharded_run_identity;
           qcheck qcheck_engine_transparent;
+          qcheck qcheck_eval_conf_exact;
         ] );
       ( "partition",
         [
